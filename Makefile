@@ -4,8 +4,8 @@
 PYTHON    ?= python
 PYTHONPATH := src
 
-.PHONY: check lint test sanitize bench bench-smoke baseline chaos \
-	chaos-federation serve
+.PHONY: check lint test sanitize bench bench-smoke perfbench-smoke \
+	baseline chaos chaos-federation serve
 
 check: lint test
 
@@ -42,6 +42,12 @@ bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_e17_gateway.py --tiny
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_e18_federation.py --tiny
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_e19_failover.py --tiny
+
+# The benchmark's own self-test: every workload shrunk to a two-second
+# run, untraced and traced (see perfbench/README.md).  Tier-1 checks
+# its hooks into the program in tests/test_perfbench_contract.py.
+perfbench-smoke:
+	python3 perfbench/selftest.py
 
 # Serve a simulated cluster's state over HTTP on 127.0.0.1:8137:
 # /v1/summary /v1/hosts /v1/query /v1/events /v1/history /v1/watch /stats.

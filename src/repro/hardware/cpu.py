@@ -8,7 +8,7 @@ integrals of that demand, evaluated in closed form when sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hardware.node import SimulatedNode
@@ -41,12 +41,24 @@ class CPU:
     #: fraction of busy time accounted as system (kernel) time.
     SYSTEM_SHARE = 0.12
 
+    __slots__ = ("node", "spec", "_overhead", "_overhead_sum", "_mark_t",
+                 "_mark_busy", "_mark_boot", "_mark_version")
+
     def __init__(self, node: "SimulatedNode", spec: CPUSpec = CPUSpec()):
         self.node = node
         self.spec = spec
         #: extra demand injected by management tasks (e.g. local cloning
         #: writes, monitoring agents measuring their own footprint).
         self._overhead: Dict[str, float] = {}
+        self._overhead_sum = 0.0
+        # jiffies checkpoint: busy seconds from boot to the change point
+        # _mark_t, valid while the boot time and workload version are the
+        # ones it was summed under (set_overhead drops it).  A node has a
+        # boot time exactly while its OS runs, so the run state is covered.
+        self._mark_t: Optional[float] = None
+        self._mark_busy = 0.0
+        self._mark_boot: Optional[float] = None
+        self._mark_version = 0
 
     # -- management overhead -------------------------------------------
     def set_overhead(self, key: str, fraction: float) -> None:
@@ -55,17 +67,19 @@ class CPU:
             self._overhead.pop(key, None)
         else:
             self._overhead[key] = float(fraction)
+        self._overhead_sum = sum(self._overhead.values())
+        self._mark_t = None
 
     @property
     def overhead(self) -> float:
-        return sum(self._overhead.values())
+        return self._overhead_sum
 
     # -- dynamic state --------------------------------------------------
     def demand(self, t: float) -> float:
         """Raw demand in core-equivalents (can exceed ``cores``)."""
         if not self.node.is_running(t):
             return 0.0
-        return self.node.workload.demand(t)["cpu"] + self.overhead
+        return self.node.demand(t)["cpu"] + self._overhead_sum
 
     def utilization(self, t: float) -> float:
         """Fraction of total capacity in use, in [0, 1]."""
@@ -93,18 +107,29 @@ class CPU:
 
         Busy time is the integral of (clamped) utilization; the clamp is
         applied per change-point interval so oversubscribed phases do not
-        overcount.
+        overcount.  The sum up to the last change point before ``t`` is
+        kept, so the next query adds only the intervals after it.
         """
-        boot = self.node.boot_completed_at
+        node = self.node
+        boot = node.boot_completed_at
         if boot is None or t <= boot:
             return {"user": 0, "nice": 0, "system": 0, "idle": 0}
-        busy = 0.0
-        points = [boot] + self.node.workload.change_points(boot, t) + [t]
-        for a, b in zip(points[:-1], points[1:]):
-            if b <= a:
-                continue
-            mid = (a + b) / 2.0
-            busy += self.utilization(mid) * (b - a)
+        workload = node.workload
+        if (self._mark_t is None or t <= self._mark_t
+                or boot != self._mark_boot
+                or workload.version != self._mark_version):
+            self._mark_t = boot
+            self._mark_busy = 0.0
+            self._mark_boot = boot
+            self._mark_version = workload.version
+        a = self._mark_t
+        busy = self._mark_busy
+        for b in workload.change_points(a, t):
+            busy += self.utilization((a + b) / 2.0) * (b - a)
+            a = b
+        self._mark_t = a
+        self._mark_busy = busy
+        busy += self.utilization((a + t) / 2.0) * (t - a)
         busy *= self.spec.cores
         total = (t - boot) * self.spec.cores
         system = busy * self.SYSTEM_SHARE

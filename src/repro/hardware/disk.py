@@ -29,6 +29,8 @@ class DiskSpec:
 class Disk:
     """One node-local disk."""
 
+    __slots__ = ("node", "spec", "name", "installed_image", "used")
+
     def __init__(self, node: "SimulatedNode", spec: DiskSpec = DiskSpec(),
                  name: str = "hda"):
         self.node = node
@@ -77,7 +79,7 @@ class Disk:
         """Instantaneous fraction of throughput in use."""
         if not self.node.is_running(t):
             return 0.0
-        d = self.node.workload.demand(t)
+        d = self.node.demand(t)
         frac = (d["disk_read"] / self.spec.read_rate
                 + d["disk_write"] / self.spec.write_rate)
         return min(frac, 1.0)

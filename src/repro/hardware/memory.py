@@ -43,6 +43,8 @@ class Memory:
     #: buffers/cached follow a fixed fraction of free memory.
     CACHE_FRACTION = 0.35
 
+    __slots__ = ("node", "spec", "_leaks")
+
     def __init__(self, node: "SimulatedNode", spec: MemorySpec = MemorySpec()):
         self.node = node
         self.spec = spec
@@ -61,11 +63,17 @@ class Memory:
         """Remove all leaks (models restarting the leaking service)."""
         self._leaks.clear()
 
+    def _leaked(self, t: float) -> int:
+        """Bytes held by injected leaks at ``t``."""
+        if not self._leaks:
+            return 0
+        return sum(leak.amount(t) for leak in self._leaks)
+
     def used(self, t: float) -> int:
         if not self.node.is_running(t):
             return 0
-        demand = self.node.workload.demand(t)["memory"]
-        leaked = sum(leak.amount(t) for leak in self._leaks)
+        demand = self.node.demand(t)["memory"]
+        leaked = self._leaked(t)
         return min(self.BASELINE + demand + leaked, self.spec.total)
 
     def free(self, t: float) -> int:
@@ -81,8 +89,8 @@ class Memory:
         if not self.node.is_running(t) or getattr(self.node, "diskless",
                                                   False):
             return 0
-        demand = self.node.workload.demand(t)["memory"]
-        leaked = sum(leak.amount(t) for leak in self._leaks)
+        demand = self.node.demand(t)["memory"]
+        leaked = self._leaked(t)
         over = self.BASELINE + demand + leaked - self.spec.total
         return max(0, min(over, self.spec.swap_total))
 

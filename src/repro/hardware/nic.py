@@ -30,6 +30,12 @@ class NICSpec:
 class NIC:
     """One network interface on a node."""
 
+    #: payload bytes per packet when counting packets from bytes.
+    MSS = 1460
+
+    __slots__ = ("node", "spec", "health", "_fabric_tx", "_fabric_rx",
+                 "_fabric_tx_packets", "_fabric_rx_packets", "_errors")
+
     def __init__(self, node: "SimulatedNode", spec: NICSpec = NICSpec()):
         self.node = node
         self.spec = spec
@@ -58,11 +64,11 @@ class NIC:
     # -- fabric credit ---------------------------------------------------
     def credit_tx(self, nbytes: int, packets: int = 0) -> None:
         self._fabric_tx += nbytes
-        self._fabric_tx_packets += packets or max(1, nbytes // 1460)
+        self._fabric_tx_packets += packets or max(1, nbytes // self.MSS)
 
     def credit_rx(self, nbytes: int, packets: int = 0) -> None:
         self._fabric_rx += nbytes
-        self._fabric_rx_packets += packets or max(1, nbytes // 1460)
+        self._fabric_rx_packets += packets or max(1, nbytes // self.MSS)
 
     def record_error(self, n: int = 1) -> None:
         self._errors += n
@@ -83,10 +89,19 @@ class NIC:
         return workload + self._fabric_rx
 
     def tx_packets(self, t: float) -> int:
-        return self.tx_bytes(t) // 1460 + self._fabric_tx_packets
+        return self.tx_packets_of(self.tx_bytes(t))
 
     def rx_packets(self, t: float) -> int:
-        return self.rx_bytes(t) // 1460 + self._fabric_rx_packets
+        return self.rx_packets_of(self.rx_bytes(t))
+
+    def tx_packets_of(self, tx_bytes: int) -> int:
+        """Transmit packet counter for a transmit byte counter already
+        read with :meth:`tx_bytes` (saves reading it twice)."""
+        return tx_bytes // self.MSS + self._fabric_tx_packets
+
+    def rx_packets_of(self, rx_bytes: int) -> int:
+        """Receive packet counter for a byte counter from :meth:`rx_bytes`."""
+        return rx_bytes // self.MSS + self._fabric_rx_packets
 
     @property
     def errors(self) -> int:
@@ -96,6 +111,6 @@ class NIC:
         """Instantaneous offered load as a fraction of the effective rate."""
         if not self.node.is_running(t):
             return 0.0
-        d = self.node.workload.demand(t)
+        d = self.node.demand(t)
         offered = d["net_tx"] + d["net_rx"]
         return min(offered / self.effective_rate, 1.0)

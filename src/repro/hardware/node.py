@@ -44,6 +44,10 @@ class NodeState(enum.Enum):
     BURNED = "burned"       # thermally destroyed; only RMA helps
 
 
+#: states in which the OS executes (see SimulatedNode.is_running).
+_RUNNING = (NodeState.UP, NodeState.HUNG)
+
+
 class SimulatedNode:
     """One cluster node, all dynamics lazy/analytic."""
 
@@ -95,6 +99,12 @@ class SimulatedNode:
         self.state_listeners: List[Callable] = []
         self._boot_process = None
         self._burn_token = 0
+        # demand read at the last instant asked (see demand()).  One dict
+        # made here and refilled in place: a dict made per read and kept
+        # until the next sample would pin allocator pools all run long.
+        self._demand_t: Optional[float] = None
+        self._demand_version = 0
+        self._demand = dict.fromkeys(Workload.ATTRS, 0.0)
 
     # ------------------------------------------------------------------
     @property
@@ -107,11 +117,25 @@ class SimulatedNode:
 
     def is_running(self, t: float | None = None) -> bool:
         """True when the OS is executing (UP or HUNG)."""
-        return self.state in (NodeState.UP, NodeState.HUNG)
+        return self.state in _RUNNING
 
     @property
     def powered(self) -> bool:
         return self.state not in (NodeState.OFF, NodeState.BURNED)
+
+    def demand(self, t: float) -> dict:
+        """The workload's aggregate demand at ``t``, read once per instant.
+
+        Every component model reads demand through here, so an agent
+        sample looks up :meth:`Workload.demand` once per distinct instant
+        it evaluates, however many models consult it.
+        """
+        version = self.workload.version
+        if t != self._demand_t or version != self._demand_version:
+            self._demand.update(self.workload.demand(t))
+            self._demand_t = t
+            self._demand_version = version
+        return self._demand.copy()
 
     def uptime(self, t: float) -> float:
         if not self.is_running() or self.boot_completed_at is None:

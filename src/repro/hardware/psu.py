@@ -34,6 +34,8 @@ class PSUSpec:
 class PSU:
     """One node power supply."""
 
+    __slots__ = ("node", "spec", "failed", "health", "_switched_on_at")
+
     def __init__(self, node: "SimulatedNode", spec: PSUSpec = PSUSpec()):
         self.node = node
         self.spec = spec
@@ -64,7 +66,12 @@ class PSU:
         """Steady-state watts at time ``t`` from the node's CPU load."""
         if not self.is_on:
             return 0.0
-        load = self.node.cpu.utilization(t)
+        return self.load_draw(self.node.cpu.utilization(t))
+
+    def load_draw(self, load: float) -> float:
+        """Steady-state watts at CPU utilization ``load`` (0 when off)."""
+        if not self.is_on:
+            return 0.0
         return self.spec.idle_watts + (self.spec.max_watts
                                        - self.spec.idle_watts) * load
 

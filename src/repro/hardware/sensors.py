@@ -40,6 +40,8 @@ class ThermalSpec:
 class Fan:
     """A cooling fan with a tachometer reading."""
 
+    __slots__ = ("nominal_rpm", "failed")
+
     def __init__(self, nominal_rpm: float = 5400.0):
         self.nominal_rpm = nominal_rpm
         self.failed = False
@@ -60,6 +62,10 @@ class Fan:
 class ThermalModel:
     """Analytic first-order CPU temperature model for one node."""
 
+    __slots__ = ("node", "spec", "fan", "_anchor_t", "_anchor_temp",
+                 "_mark_t", "_mark_temp", "_mark_version", "_mark_overhead",
+                 "_mark_running", "_mark_failed")
+
     def __init__(self, node: "SimulatedNode",
                  spec: ThermalSpec = ThermalSpec()):
         self.node = node
@@ -67,6 +73,15 @@ class ThermalModel:
         self.fan = Fan()
         self._anchor_t = 0.0
         self._anchor_temp = spec.ambient
+        # checkpoint: temperature at change point _mark_t, reached from
+        # the anchor; valid while the workload version, CPU overhead, run
+        # state and fan state are the ones it was integrated under.
+        self._mark_t: Optional[float] = None
+        self._mark_temp = spec.ambient
+        self._mark_version = 0
+        self._mark_overhead = 0.0
+        self._mark_running = False
+        self._mark_failed = False
 
     # -- parameters under the current fan state -------------------------
     def _tau(self) -> float:
@@ -80,41 +95,65 @@ class ThermalModel:
         return eq
 
     # -- state evolution -------------------------------------------------
-    def _advance(self, t0: float, temp0: float, t1: float) -> float:
-        """Integrate from (t0, temp0) to t1 across workload change points."""
-        points = self.node.workload.change_points(t0, t1)
-        temp = temp0
-        prev = t0
+    def _advance(self, t1: float) -> float:
+        """Integrate from the anchor to ``t1`` across workload change points.
+
+        Resumes from the checkpoint at the last change point an earlier
+        query passed, so only the intervals after it are integrated again.
+        """
+        node = self.node
+        version = node.workload.version
+        overhead = node.cpu.overhead
+        running = node.is_running()
+        failed = self.fan.failed
+        if (self._mark_t is None or t1 <= self._mark_t
+                or version != self._mark_version
+                or overhead != self._mark_overhead
+                or running != self._mark_running
+                or failed != self._mark_failed):
+            self._mark_t = self._anchor_t
+            self._mark_temp = self._anchor_temp
+            self._mark_version = version
+            self._mark_overhead = overhead
+            self._mark_running = running
+            self._mark_failed = failed
+        prev = self._mark_t
+        temp = self._mark_temp
         tau = self._tau()
-        for p in points + [t1]:
-            if p <= prev:
-                continue
+        for p in node.workload.change_points(prev, t1):
             eq = self.equilibrium((prev + p) / 2.0)
             temp = eq + (temp - eq) * math.exp(-(p - prev) / tau)
             prev = p
+        self._mark_t = prev
+        self._mark_temp = temp
+        if t1 > prev:
+            eq = self.equilibrium((prev + t1) / 2.0)
+            temp = eq + (temp - eq) * math.exp(-(t1 - prev) / tau)
         return temp
+
+    def _set_anchor(self, t: float, temp: float) -> None:
+        self._anchor_t = t
+        self._anchor_temp = temp
+        self._mark_t = None
 
     def rebase(self, t: float) -> None:
         """Move the anchor to ``t`` — call *before* any parameter change."""
         if t < self._anchor_t:
             raise ValueError("cannot rebase into the past")
-        self._anchor_temp = self._advance(self._anchor_t,
-                                          self._anchor_temp, t)
-        self._anchor_t = t
+        self._set_anchor(t, self._advance(t))
 
     def temperature(self, t: float) -> float:
         """CPU temperature at ``t`` (>= last rebase point)."""
         if t < self._anchor_t:
             raise ValueError(
                 f"thermal query at t={t} precedes anchor {self._anchor_t}")
-        return self._advance(self._anchor_t, self._anchor_temp, t)
+        return self._advance(t)
 
     def set_temperature(self, t: float, temp: float) -> None:
         """Force the state (e.g. reset to ambient on power-off)."""
         if t < self._anchor_t:
             raise ValueError("cannot set temperature in the past")
-        self._anchor_t = t
-        self._anchor_temp = temp
+        self._set_anchor(t, temp)
 
     def fan_failure(self, t: float) -> None:
         self.rebase(t)
@@ -143,6 +182,8 @@ class ThermalModel:
 
 class VoltageSensor:
     """A supply rail readout with deterministic per-node offset."""
+
+    __slots__ = ("nominal", "offset", "failed")
 
     def __init__(self, nominal: float, offset: float = 0.0):
         self.nominal = nominal

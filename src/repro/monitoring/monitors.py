@@ -123,6 +123,12 @@ def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
     ``t``, so one function can hoist the shared subexpressions and emit the
     whole sample at once — value-identical, in the same sorted-key order
     the generic loop produces (asserted by the test suite).
+
+    Each model quantity is read once: memory used, the NIC byte counters
+    and CPU utilization feed every monitor derived from them.  The
+    jiffy and thermal integrals go first: both end on the same interval
+    before ``t``, so the node's per-instant demand read serves the two of
+    them, and a second read at ``t`` serves everything after.
     """
     node = ctx.node
     t = ctx.t
@@ -136,12 +142,17 @@ def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
     volts = node.voltages
     running = node.is_running()
     state = node.state.value
-    util = cpu.utilization(t)
     jiffies = cpu.jiffies(t)
-    load = cpu.loadavg(t)
     temp = thermal.temperature(t)
+    load = cpu.loadavg(t)
+    util = cpu.utilization(t)
     ambient = thermal.spec.ambient
+    mem_total = mem.spec.total
+    mem_used = mem.used(t)
+    mem_free = mem_total - mem_used
     swap_used = mem.swap_used(t)
+    rx_bytes = nic.rx_bytes(t)
+    tx_bytes = nic.tx_bytes(t)
     image = disk.installed_image if disk else None
     return {
         "board_temp_c": round(ambient + 0.4 * (temp - ambient), 2),
@@ -172,17 +183,17 @@ def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
         "load_1min": round(load, 2),
         "load_5min": round(load * 0.9, 2),
         "mac_address": node.mac,
-        "mem_cached_bytes": mem.cached(t),
-        "mem_free_bytes": mem.free(t),
-        "mem_total_bytes": mem.spec.total,
-        "mem_used_bytes": mem.used(t),
-        "mem_util_pct": round(mem.utilization(t) * 100.0, 2),
+        "mem_cached_bytes": int(mem_free * mem.CACHE_FRACTION),
+        "mem_free_bytes": mem_free,
+        "mem_total_bytes": mem_total,
+        "mem_used_bytes": mem_used,
+        "mem_util_pct": round(mem_used / mem_total * 100.0, 2),
         "net_errors": nic.errors,
         "net_link_mbps": round(nic.effective_rate * 8 / 1e6, 1),
-        "net_rx_bytes": nic.rx_bytes(t),
-        "net_rx_packets": nic.rx_packets(t),
-        "net_tx_bytes": nic.tx_bytes(t),
-        "net_tx_packets": nic.tx_packets(t),
+        "net_rx_bytes": rx_bytes,
+        "net_rx_packets": nic.rx_packets_of(rx_bytes),
+        "net_tx_bytes": tx_bytes,
+        "net_tx_packets": nic.tx_packets_of(tx_bytes),
         "net_util_pct": round(nic.utilization(t) * 100.0, 2),
         "node_state": state,
         "node_up": 1 if running else 0,
@@ -191,7 +202,7 @@ def _fast_builtin_sample(ctx: MonitorContext) -> Dict[str, object]:
                           if running else 0),
         "psu_ok": 0 if psu.failed else 1,
         "psu_volts": round(psu.probe_voltage(t), 2),
-        "psu_watts": round(psu.steady_draw(t), 1),
+        "psu_watts": round(psu.load_draw(util), 1),
         "swap_activity": 1 if swap_used > 0 else 0,
         "swap_total_bytes": mem.spec.swap_total,
         "swap_used_bytes": swap_used,

@@ -7,10 +7,12 @@ captured before the rework landed, byte for byte.  See
 ``tests/goldentrace.py`` for the scenarios and the trace format.
 """
 
+import numpy as np
 import pytest
 
 from tests import goldentrace as gt
 from repro import ClusterWorX
+from repro.hardware import WorkloadGenerator
 from repro.monitoring.monitors import MonitorContext
 from repro.sim import SimKernel
 
@@ -94,14 +96,7 @@ def test_trigger_untriggered_source_raises():
     assert target.value == "payload"
 
 
-def test_fast_sampler_matches_generic_loop():
-    """The hoisted builtin sampler returns exactly what the generic
-    monitor loop returns — same keys, same order, same values."""
-    cwx = ClusterWorX(n_nodes=4, seed=99)
-    cwx.start()
-    cwx.run(12.5)
-    cwx.inject_fault(cwx.cluster.hostnames[1], "fan_failure")
-    cwx.run(20.0)
+def _assert_fast_sampler_matches_generic(cwx):
     for agent in cwx.agents.values():
         ctx = MonitorContext(node=agent.node, t=cwx.kernel.now)
         fast = agent.registry.fast_sampler
@@ -114,6 +109,46 @@ def test_fast_sampler_matches_generic_loop():
             agent.registry.fast_sampler = fast
         assert list(fast_values) == list(generic)
         assert fast_values == generic
+
+
+def test_fast_sampler_matches_generic_loop():
+    """The hoisted builtin sampler returns exactly what the generic
+    monitor loop returns — same keys, same order, same values — on idle
+    nodes and on busy ones, across the events that move the hardware
+    models' cached state: a job kill, a reboot, a fan failure and an
+    agent stop/start (which changes the CPU overhead)."""
+    cwx = ClusterWorX(n_nodes=4, seed=99)
+    cwx.start()
+    cwx.run(12.5)
+    cwx.inject_fault(cwx.cluster.hostnames[1], "fan_failure")
+    cwx.run(20.0)
+    _assert_fast_sampler_matches_generic(cwx)
+
+    busy = ClusterWorX(n_nodes=4, seed=99)
+    gen = WorkloadGenerator(np.random.default_rng(13))
+    for node in busy.cluster.nodes:
+        node.workload.extend(gen.background_noise(0.0, 1e6))
+        node.workload.extend(gen.hpc_job(5.0, tag="mpi"))
+        node.workload.extend(gen.io_heavy_job(40.0, duration=90.0))
+        node.workload.extend(gen.memory_ramp(60.0, step_duration=12.5))
+        node.workload.extend(gen.hpc_job(150.0, phases=3, tag="late"))
+    busy.start()
+    hosts = busy.cluster.hostnames
+    agent = busy.agents[hosts[3]]
+    events = [
+        lambda: None,
+        lambda: busy.cluster.node(hosts[0]).workload.truncate_tagged(
+            "mpi", busy.kernel.now),
+        lambda: busy.cluster.node(hosts[1]).reset(),
+        lambda: busy.inject_fault(hosts[2], "fan_failure"),
+        agent.stop,
+        agent.scheduled_start,
+    ]
+    for event in events:
+        event()
+        for step in (0.0, 7.3, 12.5):
+            busy.run(step)
+            _assert_fast_sampler_matches_generic(busy)
 
 
 def test_plugin_registration_disables_fast_sampler():
